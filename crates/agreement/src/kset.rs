@@ -20,9 +20,11 @@
 //! substitution (documented in DESIGN.md §3.3) preserves Theorem 24
 //! end-to-end.
 
+use std::rc::Rc;
+
 use st_core::Value;
 use st_fd::{KAntiOmega, KAntiOmegaLocal, KAntiOmegaMachine};
-use st_sim::{Automaton, BatchAccess, PhaseBatch, ProcessCtx, Sim, Status, StepAccess};
+use st_sim::{Automaton, BatchAccess, PhaseBatch, ProcessCtx, RegName, Sim, Status, StepAccess};
 
 use crate::paxos::{AttemptOutcome, CoreStep, Paxos, PaxosProposerCore, ProposerState};
 
@@ -30,10 +32,10 @@ use crate::paxos::{AttemptOutcome, CoreStep, Paxos, PaxosProposerCore, ProposerS
 pub const DECIDED_INSTANCE_PROBE: &str = "decided-instance";
 
 /// A k-set agreement object: `k` Paxos instances driven by a k-anti-Ω
-/// winnerset. Clone into each process.
+/// winnerset. Clone into each process (clones share the instances).
 #[derive(Clone, Debug)]
 pub struct KSetAgreement {
-    instances: Vec<Paxos>,
+    instances: Rc<[Paxos]>,
 }
 
 impl KSetAgreement {
@@ -50,7 +52,7 @@ impl KSetAgreement {
         assert!(k >= 1 && k <= sim.universe().n(), "need 1 <= k <= n");
         KSetAgreement {
             instances: (0..k)
-                .map(|r| Paxos::alloc(sim, &format!("kset[{r}]")))
+                .map(|r| Paxos::alloc(sim, RegName::new("kset").index(r)))
                 .collect(),
         }
     }

@@ -30,8 +30,12 @@
 //! `tests/differential.rs` enforces it on round-robin, seeded-random,
 //! Figure 1, and crash schedules.
 
+use std::rc::Rc;
+
 use st_core::Value;
-use st_sim::{Automaton, BatchAccess, PhaseBatch, ProcessCtx, Reg, Sim, Status, StepAccess};
+use st_sim::{
+    Automaton, BatchAccess, PhaseBatch, ProcessCtx, Reg, RegName, Sim, Status, StepAccess,
+};
 
 /// One process's Paxos record (a "disk block").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -45,9 +49,10 @@ pub struct PaxosRecord {
 }
 
 /// A single-decree Paxos instance: `n` records plus a decision register.
+/// Clones share the record table.
 #[derive(Clone, Debug)]
 pub struct Paxos {
-    pub(crate) records: Vec<Reg<PaxosRecord>>,
+    pub(crate) records: Rc<[Reg<PaxosRecord>]>,
     pub(crate) decision: Reg<Option<Value>>,
     n: u64,
 }
@@ -75,11 +80,12 @@ pub enum AttemptOutcome {
 impl Paxos {
     /// Allocates an instance in `sim`: one record per process (single
     /// writer) and one multi-writer decision register.
-    pub fn alloc(sim: &mut Sim, name: &str) -> Self {
-        let records = sim.alloc_per_process(&format!("{name}.rec"), PaxosRecord::default());
-        let decision = sim.alloc(format!("{name}.decision"), None);
+    pub fn alloc(sim: &mut Sim, name: impl Into<RegName>) -> Self {
+        let name = name.into();
+        let records = sim.alloc_per_process(name.scoped(".rec"), PaxosRecord::default());
+        let decision = sim.alloc(name.scoped(".decision"), None);
         Paxos {
-            records,
+            records: records.into(),
             decision,
             n: sim.universe().n() as u64,
         }

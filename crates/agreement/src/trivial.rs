@@ -9,7 +9,7 @@
 //! always appears.
 
 use st_core::Value;
-use st_sim::{ProcessCtx, Reg, Sim};
+use st_sim::{ProcessCtx, Reg, RegName, Sim};
 
 /// The trivial `t < k` agreement object. Clone into each process.
 #[derive(Clone, Debug)]
@@ -29,7 +29,7 @@ impl TrivialAgreement {
         let published = (0..k)
             .map(|i| {
                 let owner = st_core::ProcessId::new(i);
-                sim.alloc_sw(format!("trivial.decide[{i}]"), owner, None)
+                sim.alloc_sw(RegName::new("trivial.decide").index(i), owner, None)
             })
             .collect();
         TrivialAgreement { published }

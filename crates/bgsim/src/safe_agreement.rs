@@ -18,7 +18,7 @@
 //!   there); otherwise return `V[j]` for the smallest `j` with `L[j] = 2`.
 
 use st_core::Value;
-use st_sim::{ProcessCtx, Reg, Sim};
+use st_sim::{ProcessCtx, Reg, RegName, Sim};
 
 /// A single-shot safe-agreement object among `width` proposers
 /// (the simulators). Clone into each simulator.
@@ -42,12 +42,14 @@ pub enum Resolution {
 impl SafeAgreement {
     /// Allocates the object's registers (`V[s]`, `L[s]` for each of the
     /// `width` proposers, indexed by process index `0..width`).
-    pub fn alloc(sim: &mut Sim, name: &str, width: usize) -> Self {
+    pub fn alloc(sim: &mut Sim, name: impl Into<RegName>, width: usize) -> Self {
+        let name = name.into();
+        let (v, l) = (name.scoped(".V"), name.scoped(".L"));
         let values = (0..width)
-            .map(|s| sim.alloc_sw(format!("{name}.V[{s}]"), st_core::ProcessId::new(s), None))
+            .map(|s| sim.alloc_sw(v.index(s), st_core::ProcessId::new(s), None))
             .collect();
         let levels = (0..width)
-            .map(|s| sim.alloc_sw(format!("{name}.L[{s}]"), st_core::ProcessId::new(s), 0u64))
+            .map(|s| sim.alloc_sw(l.index(s), st_core::ProcessId::new(s), 0u64))
             .collect();
         SafeAgreement { values, levels }
     }

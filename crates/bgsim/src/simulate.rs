@@ -24,7 +24,7 @@
 //!   adoption rule of the reduction.
 
 use st_core::{ProcSet, Schedule, Value};
-use st_sim::{ProcessCtx, Reg, RunReport, Sim};
+use st_sim::{ProcessCtx, Reg, RegName, RunReport, Sim};
 
 use crate::machine::{SimOp, StepMachine};
 use crate::safe_agreement::{Resolution, SafeAgreement};
@@ -73,26 +73,22 @@ impl<M: StepMachine + Clone + 'static> BgSimulation<M> {
         let n_sim = machines.len();
         let cells = (0..n_sim)
             .map(|u| {
+                let row = RegName::new("bg.cell").index(u);
                 (0..width)
-                    .map(|s| {
-                        sim.alloc_sw(
-                            format!("bg.cell[{u}][{s}]"),
-                            st_core::ProcessId::new(s),
-                            (0u64, None),
-                        )
-                    })
+                    .map(|s| sim.alloc_sw(row.index(s), st_core::ProcessId::new(s), (0u64, None)))
                     .collect()
             })
             .collect();
         let agreements = (0..n_sim)
             .map(|u| {
+                let row = RegName::new("bg.sa").index(u);
                 (0..max_reads)
-                    .map(|r| SafeAgreement::alloc(sim, &format!("bg.sa[{u}][{r}]"), width))
+                    .map(|r| SafeAgreement::alloc(sim, row.index(r), width))
                     .collect()
             })
             .collect();
         let decisions = (0..n_sim)
-            .map(|u| sim.alloc(format!("bg.decision[{u}]"), None))
+            .map(|u| sim.alloc(RegName::new("bg.decision").index(u), None))
             .collect();
         BgSimulation {
             machines,

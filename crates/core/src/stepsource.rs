@@ -24,14 +24,16 @@ pub trait StepSource {
     where
         Self: Sized,
     {
-        let mut s = Schedule::new();
+        // Reserve up front (capped, for callers draining a finite source
+        // with a huge `len`), so emission does not pay for regrowth.
+        let mut steps = Vec::with_capacity(len.min(1 << 20));
         for _ in 0..len {
             match self.next_step() {
-                Some(p) => s.push(p),
+                Some(p) => steps.push(p),
                 None => break,
             }
         }
-        s
+        Schedule::from_steps(steps)
     }
 }
 

@@ -14,7 +14,7 @@
 //! flaps forever — while the set-based Figure 2 algorithm stabilizes.
 
 use st_core::{ProcSet, ProcessId, Universe};
-use st_sim::{ProcessCtx, Reg, Sim};
+use st_sim::{NameRender, ProcessCtx, Reg, RegName, Sim};
 
 use crate::timeout::TimeoutPolicy;
 
@@ -50,13 +50,21 @@ impl ProcessTimelyDetector {
             k >= 1 && k <= t && t < n,
             "requires 1 <= k <= t <= n-1 (got k={k}, t={t}, n={n})"
         );
+        sim.reserve_registers(n + n * n);
         let heartbeat = sim.alloc_per_process("pt.Heartbeat", 0u64);
+        let name: NameRender = |f, [q, p, _]| {
+            let (q, p) = (ProcessId::new(q as usize), ProcessId::new(p as usize));
+            write!(f, "pt.Counter[{q},{p}]")
+        };
         let counter = universe
             .processes()
             .map(|q| {
                 universe
                     .processes()
-                    .map(|p| sim.alloc_sw(format!("pt.Counter[{q},{p}]"), p, 0u64))
+                    .map(|p| {
+                        let name = RegName::custom(name, [q.index() as u32, p.index() as u32, 0]);
+                        sim.alloc_sw(name, p, 0u64)
+                    })
                     .collect()
             })
             .collect();

@@ -28,9 +28,13 @@
 //! register writes in the same order); `tests/differential.rs` enforces it
 //! on round-robin, seeded-random, and Figure 1 schedules.
 
-use st_core::subsets::wide_k_subsets;
+use std::rc::Rc;
+
+use st_core::subsets::{wide_k_subsets, wide_unrank};
 use st_core::{ProcessId, Universe, WideProcSet};
-use st_sim::{Automaton, BatchAccess, PhaseBatch, ProcessCtx, Reg, Sim, Status, StepAccess};
+use st_sim::{
+    Automaton, BatchAccess, PhaseBatch, ProcessCtx, Reg, RegName, Sim, Status, StepAccess,
+};
 
 use crate::timeout::TimeoutPolicy;
 
@@ -106,18 +110,34 @@ impl KAntiOmegaConfig {
 /// assert!(stab.is_some());
 /// assert_eq!(stab.unwrap().winnerset.len(), 1);
 /// ```
+///
+/// The register and subset tables are immutable after allocation and
+/// shared between clones, so handing one instance to every process (the
+/// async `run` and [`machine`](KAntiOmega::machine)) copies pointers, not
+/// tables.
 #[derive(Clone, Debug)]
 pub struct KAntiOmega<const W: usize = 1> {
     config: KAntiOmegaConfig,
     universe: Universe,
     /// `Heartbeat[p]`, single-writer.
-    heartbeat: Vec<Reg<u64>>,
+    heartbeat: Rc<[Reg<u64>]>,
     /// `Counter[A, q]` indexed `[rank(A)][q]`, single-writer per column.
-    counter: Vec<Vec<Reg<u64>>>,
+    counter: Rc<[Vec<Reg<u64>>]>,
     /// `Π^k_n` in ascending order (rank = index).
-    subsets: Vec<WideProcSet<W>>,
+    subsets: Rc<[WideProcSet<W>]>,
     /// For each process q, the ranks of the sets containing q (line 11–12).
-    containing: Vec<Vec<u32>>,
+    containing: Rc<[Vec<u32>]>,
+}
+
+/// Renders `Counter[{A}#{rank},{q}]` from `[rank, q, n << 16 | k]`,
+/// re-deriving `A` from its rank only when the name is read.
+fn counter_name<const W: usize>(
+    f: &mut std::fmt::Formatter<'_>,
+    [rank, q, nk]: [u32; 3],
+) -> std::fmt::Result {
+    let universe = Universe::new((nk >> 16) as usize).expect("allocated universe");
+    let set = wide_unrank::<W>(universe, (nk & 0xFFFF) as usize, u64::from(rank));
+    write!(f, "Counter[{set}#{rank},{}]", ProcessId::new(q as usize))
 }
 
 impl KAntiOmega {
@@ -159,18 +179,37 @@ impl<const W: usize> KAntiOmega<W> {
              pick W with st_core::words_for, or use LeanOmega",
             WideProcSet::<W>::CAPACITY
         );
-        let heartbeat = sim.alloc_per_process("Heartbeat", 0u64);
         let subsets = wide_k_subsets(universe, k);
-        let counter: Vec<Vec<Reg<u64>>> = subsets
-            .iter()
-            .enumerate()
-            .map(|(rank, set)| {
+        sim.reserve_registers(n + subsets.len() * n);
+        let heartbeat = sim.alloc_per_process("Heartbeat", 0u64);
+        let counter: Vec<Vec<Reg<u64>>> = (0..subsets.len() as u32)
+            .map(|rank| {
                 universe
                     .processes()
-                    .map(|q| sim.alloc_sw(format!("Counter[{set}#{rank},{q}]"), q, 0u64))
+                    .map(|q| {
+                        let words = [rank, q.index() as u32, (n << 16 | k) as u32];
+                        sim.alloc_sw(RegName::custom(counter_name::<W>, words), q, 0u64)
+                    })
                     .collect()
             })
             .collect();
+        // The state machine addresses both tables by base + offset.
+        for (a, row) in counter.iter().enumerate() {
+            for (q, reg) in row.iter().enumerate() {
+                assert_eq!(
+                    reg.index(),
+                    counter[0][0].index() + a * n + q,
+                    "counter matrix must be allocated contiguously"
+                );
+            }
+        }
+        for (q, reg) in heartbeat.iter().enumerate() {
+            assert_eq!(
+                reg.index(),
+                heartbeat[0].index() + q,
+                "heartbeat array must be allocated contiguously"
+            );
+        }
         let mut containing = vec![Vec::new(); n];
         for (rank, set) in subsets.iter().enumerate() {
             for q in set.iter() {
@@ -180,10 +219,10 @@ impl<const W: usize> KAntiOmega<W> {
         KAntiOmega {
             config,
             universe,
-            heartbeat,
-            counter,
-            subsets,
-            containing,
+            heartbeat: heartbeat.into(),
+            counter: counter.into(),
+            subsets: subsets.into(),
+            containing: containing.into(),
         }
     }
 
@@ -478,24 +517,9 @@ impl<const W: usize> KAntiOmegaMachine<W> {
     fn new(fd: KAntiOmega<W>) -> Self {
         let n = fd.universe.n();
         let m = fd.subsets.len();
+        // Contiguity of both tables is asserted once, at allocation.
         let counter_base = fd.counter[0][0];
-        for (a, row) in fd.counter.iter().enumerate() {
-            for (q, reg) in row.iter().enumerate() {
-                assert_eq!(
-                    reg.index(),
-                    counter_base.index() + a * n + q,
-                    "counter matrix must be allocated contiguously"
-                );
-            }
-        }
         let heartbeat_base = fd.heartbeat[0];
-        for (q, reg) in fd.heartbeat.iter().enumerate() {
-            assert_eq!(
-                reg.index(),
-                heartbeat_base.index() + q,
-                "heartbeat array must be allocated contiguously"
-            );
-        }
         KAntiOmegaMachine {
             fd,
             phase: Phase::ReadCounters(0),

@@ -27,7 +27,7 @@
 //! line 2 scan — which is ~`n/(n+2)` of all its steps — as span reads.
 
 use st_core::Universe;
-use st_sim::{Automaton, BatchAccess, PhaseBatch, Reg, Sim, Status, StepAccess};
+use st_sim::{Automaton, BatchAccess, PhaseBatch, Reg, RegName, Sim, Status, StepAccess};
 
 use crate::timeout::TimeoutPolicy;
 
@@ -66,12 +66,14 @@ impl LeanOmega {
             (1..n).contains(&t),
             "lean anti-Ω requires 1 <= t <= n-1 (got t={t}, n={n})"
         );
+        sim.reserve_registers(n + n * n);
         let heartbeat = sim.alloc_per_process("LeanHB", 0u64);
         let heartbeat_base = heartbeat[0];
         let mut counter_base = None;
+        let name = RegName::new("LeanCnt");
         for a in 0..n {
             for q in universe.processes() {
-                let reg = sim.alloc_sw(format!("LeanCnt[{a},{}]", q.index()), q, 0u64);
+                let reg = sim.alloc_sw(name.pair(a, q.index()), q, 0u64);
                 if counter_base.is_none() {
                     counter_base = Some(reg);
                 }

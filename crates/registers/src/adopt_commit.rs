@@ -14,7 +14,7 @@
 //! two store-collect phases over SWMR registers (`2n + 2` steps per
 //! propose).
 
-use st_sim::{ProcessCtx, Reg, RegValue, Sim, StepAccess};
+use st_sim::{ProcessCtx, Reg, RegName, RegValue, Sim, StepAccess};
 
 /// Outcome of [`AdoptCommit::propose`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,10 +52,11 @@ pub struct AdoptCommit<T> {
 impl<T: RegValue + Ord> AdoptCommit<T> {
     /// Allocates the object's registers in `sim` (two single-writer
     /// registers per process: `name.A[p]`, `name.B[p]`).
-    pub fn alloc(sim: &mut Sim, name: &str) -> Self {
+    pub fn alloc(sim: &mut Sim, name: impl Into<RegName>) -> Self {
+        let name = name.into();
         AdoptCommit {
-            phase1: sim.alloc_per_process(&format!("{name}.A"), None),
-            phase2: sim.alloc_per_process(&format!("{name}.B"), None),
+            phase1: sim.alloc_per_process(name.scoped(".A"), None),
+            phase2: sim.alloc_per_process(name.scoped(".B"), None),
         }
     }
 

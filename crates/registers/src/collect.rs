@@ -6,7 +6,7 @@
 //! adopt-commit impose stronger semantics.
 
 use st_core::ProcessId;
-use st_sim::{ProcessCtx, Reg, RegValue, Sim, StepAccess};
+use st_sim::{ProcessCtx, Reg, RegName, RegValue, Sim, StepAccess};
 
 /// A store-collect object: one `Option<T>` register per process.
 ///
@@ -20,7 +20,7 @@ pub struct Collect<T> {
 impl<T: RegValue> Collect<T> {
     /// Allocates the object's registers in `sim` (one single-writer register
     /// per process, named `name[p]`).
-    pub fn alloc(sim: &mut Sim, name: &str) -> Self {
+    pub fn alloc(sim: &mut Sim, name: impl Into<RegName>) -> Self {
         Collect {
             regs: sim.alloc_per_process(name, None),
         }

@@ -11,7 +11,7 @@
 //! phases or accept the retry cost. `scan_bounded` exposes the retry budget
 //! explicitly.
 
-use st_sim::{ProcessCtx, Reg, RegValue, Sim};
+use st_sim::{ProcessCtx, Reg, RegName, RegValue, Sim};
 
 /// One versioned component of the snapshot object.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,7 +50,7 @@ pub enum ScanOutcome<T> {
 impl<T: RegValue + PartialEq> Snapshot<T> {
     /// Allocates the object's registers in `sim` (one single-writer
     /// versioned cell per process, named `name[p]`).
-    pub fn alloc(sim: &mut Sim, name: &str) -> Self {
+    pub fn alloc(sim: &mut Sim, name: impl Into<RegName>) -> Self {
         Snapshot {
             cells: sim.alloc_per_process(name, VersionedCell::default()),
         }

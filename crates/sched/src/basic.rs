@@ -1,5 +1,6 @@
 //! Basic generators: round-robin and seeded random.
 
+use rand::distr::Uniform;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -119,26 +120,22 @@ impl StepSource for BurstyRotation {
 /// every process is correct and every pair of sets is timely for *some*
 /// bound, but the bound is unbounded in expectation across seeds — useful as
 /// filler inside [`SetTimely`](crate::SetTimely) and as a baseline workload.
+///
+/// Each step draws one ticket below the total weight from a sampler built
+/// once per source; with uniform weights the ticket is the member's index.
 #[derive(Clone, Debug)]
 pub struct SeededRandom {
     members: Vec<ProcessId>,
-    weights: Vec<u32>,
-    total_weight: u64,
+    /// Per-member weights, or `None` when every weight is 1.
+    weights: Option<Vec<u32>>,
+    ticket: Uniform<u64>,
     rng: StdRng,
 }
 
 impl SeededRandom {
     /// Uniform over the universe.
     pub fn new(universe: Universe, seed: u64) -> Self {
-        let members: Vec<ProcessId> = universe.processes().collect();
-        let weights = vec![1u32; members.len()];
-        let total_weight = members.len() as u64;
-        SeededRandom {
-            members,
-            weights,
-            total_weight,
-            rng: StdRng::seed_from_u64(seed),
-        }
+        Self::uniform(universe.processes().collect(), seed)
     }
 
     /// Uniform over an explicit non-empty set.
@@ -148,13 +145,15 @@ impl SeededRandom {
     /// Panics if `set` is empty.
     pub fn over(set: ProcSet, seed: u64) -> Self {
         assert!(!set.is_empty(), "random source needs at least one process");
-        let members = set.to_vec();
-        let weights = vec![1u32; members.len()];
-        let total_weight = members.len() as u64;
+        Self::uniform(set.to_vec(), seed)
+    }
+
+    fn uniform(members: Vec<ProcessId>, seed: u64) -> Self {
+        let ticket = Uniform::new(0, members.len() as u64).expect("non-empty member list");
         SeededRandom {
             members,
-            weights,
-            total_weight,
+            weights: None,
+            ticket,
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -170,16 +169,19 @@ impl SeededRandom {
         assert_eq!(weights.len(), self.members.len(), "one weight per member");
         let total: u64 = weights.iter().map(|&w| w as u64).sum();
         assert!(total > 0, "at least one weight must be positive");
-        self.weights = weights;
-        self.total_weight = total;
+        self.ticket = Uniform::new(0, total).expect("positive total weight");
+        self.weights = weights.iter().any(|&w| w != 1).then_some(weights);
         self
     }
 }
 
 impl StepSource for SeededRandom {
     fn next_step(&mut self) -> Option<ProcessId> {
-        let mut ticket = self.rng.random_range(0..self.total_weight);
-        for (i, &w) in self.weights.iter().enumerate() {
+        let mut ticket = self.rng.sample(self.ticket);
+        let Some(weights) = &self.weights else {
+            return Some(self.members[ticket as usize]);
+        };
+        for (i, &w) in weights.iter().enumerate() {
             let w = w as u64;
             if ticket < w {
                 return Some(self.members[i]);

@@ -71,6 +71,35 @@ impl CrashPlan {
     }
 }
 
+/// A [`CrashPlan`] flattened for per-step queries: the crash step of every
+/// process by index (`None` for processes that never crash), built once
+/// with the source that consults it.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct CrashTable {
+    crash_at: Vec<Option<u64>>,
+}
+
+impl CrashTable {
+    pub(crate) fn new(plan: &CrashPlan) -> Self {
+        let len = plan
+            .crash_at
+            .keys()
+            .next_back()
+            .map_or(0, |p| p.index() + 1);
+        let mut crash_at = vec![None; len];
+        for (p, s) in plan.entries() {
+            crash_at[p.index()] = Some(s);
+        }
+        CrashTable { crash_at }
+    }
+
+    /// Same answer as [`CrashPlan::is_crashed`].
+    #[inline]
+    pub(crate) fn is_crashed(&self, p: ProcessId, step: u64) -> bool {
+        matches!(self.crash_at.get(p.index()), Some(&Some(s)) if step >= s)
+    }
+}
+
 /// Decorator suppressing the steps of crashed processes.
 ///
 /// The global step clock advances only on *emitted* steps, so a crash at
@@ -80,6 +109,7 @@ impl CrashPlan {
 pub struct CrashAfter<S> {
     inner: S,
     plan: CrashPlan,
+    table: CrashTable,
     emitted: u64,
     /// Abort the scan after this many consecutive suppressed steps, to keep
     /// termination when the inner source only schedules crashed processes.
@@ -91,6 +121,7 @@ impl<S: StepSource> CrashAfter<S> {
     pub fn new(inner: S, plan: CrashPlan) -> Self {
         CrashAfter {
             inner,
+            table: CrashTable::new(&plan),
             plan,
             emitted: 0,
             max_skips: 1_000_000,
@@ -107,7 +138,7 @@ impl<S: StepSource> StepSource for CrashAfter<S> {
     fn next_step(&mut self) -> Option<ProcessId> {
         for _ in 0..self.max_skips {
             let p = self.inner.next_step()?;
-            if self.plan.is_crashed(p, self.emitted) {
+            if self.table.is_crashed(p, self.emitted) {
                 continue;
             }
             self.emitted += 1;
@@ -136,6 +167,22 @@ mod tests {
         assert!(!plan.is_crashed(p(1), 100));
         assert!(!plan.is_empty());
         assert!(CrashPlan::new().is_empty());
+    }
+
+    #[test]
+    fn table_agrees_with_plan() {
+        let plan = CrashPlan::new()
+            .crash(p(0), 5)
+            .crash(p(3), 0)
+            .crash(p(9), 70)
+            .crash(p(10), u64::MAX);
+        let table = CrashTable::new(&plan);
+        for i in 0..12 {
+            for step in [0, 4, 5, 6, 69, 70, u64::MAX] {
+                assert_eq!(table.is_crashed(p(i), step), plan.is_crashed(p(i), step));
+            }
+        }
+        assert!(CrashTable::new(&CrashPlan::new()).crash_at.is_empty());
     }
 
     #[test]

@@ -58,6 +58,8 @@ pub struct PhaseSegment {
 /// [`validate::certify_flapping_segments`](crate::validate::certify_flapping_segments)).
 pub struct FlappingTimely<S> {
     p: ProcSet,
+    /// `p`'s members in ascending order, the injection rotation.
+    members: Vec<ProcessId>,
     q: ProcSet,
     bound: usize,
     filler: S,
@@ -108,6 +110,7 @@ impl<S: StepSource> FlappingTimely<S> {
         let remaining = draw(&mut rng, timely_dwell);
         FlappingTimely {
             p,
+            members: p.to_vec(),
             q,
             bound,
             filler,
@@ -165,24 +168,27 @@ impl<S: StepSource> StepSource for FlappingTimely<S> {
             Some(held) => held,
             None => self.filler.next_step()?,
         };
+        // As in `SetTimely`: membership steers no branch but the rare
+        // injection.
+        let in_p = self.p.contains(step);
+        let in_q_only = !in_p & self.q.contains(step);
         let emit = if !self.enforcing {
             step
-        } else if self.p.contains(step) {
-            self.q_run = 0;
-            step
-        } else if self.q.contains(step) {
-            if self.q_run + 1 >= self.bound {
-                let members = self.p.to_vec();
-                let injected = members[self.next_inject % members.len()];
-                self.next_inject = (self.next_inject + 1) % members.len();
-                self.pending = Some(step);
-                self.q_run = 0;
-                injected
-            } else {
-                self.q_run += 1;
-                step
+        } else if in_q_only && self.q_run + 1 >= self.bound {
+            let injected = self.members[self.next_inject];
+            self.next_inject += 1;
+            if self.next_inject == self.members.len() {
+                self.next_inject = 0;
             }
+            self.pending = Some(step);
+            self.q_run = 0;
+            injected
         } else {
+            self.q_run = if in_p {
+                0
+            } else {
+                self.q_run + usize::from(in_q_only)
+            };
             step
         };
         self.remaining -= 1;
@@ -205,7 +211,8 @@ pub struct GrayFailure<S> {
     inner: S,
     gray: ProcSet,
     stretch: u64,
-    /// Per-process step counters, pre-seeded with a random phase.
+    /// Per-process step counters modulo `stretch`, pre-seeded with a
+    /// random phase; a gray step is emitted when its counter wraps to 0.
     counters: Vec<u64>,
     /// Abort the scan after this many consecutive suppressed steps, to keep
     /// termination when the inner source only schedules gray processes that
@@ -246,7 +253,8 @@ impl<S: StepSource> StepSource for GrayFailure<S> {
             }
             let c = &mut self.counters[p.index()];
             *c += 1;
-            if c.is_multiple_of(self.stretch) {
+            if *c == self.stretch {
+                *c = 0;
                 return Some(p);
             }
         }
@@ -359,7 +367,9 @@ impl<S: StepSource> StepSource for CrashRecovery<S> {
     fn next_step(&mut self) -> Option<ProcessId> {
         for _ in 0..self.max_skips {
             let p = self.inner.next_step()?;
-            if p == self.victim && self.emitted >= self.crash && self.emitted < self.rejoin {
+            // The window test first: it is predictable, the victim test
+            // is not.
+            if self.emitted >= self.crash && self.emitted < self.rejoin && p == self.victim {
                 continue;
             }
             self.emitted += 1;

@@ -21,7 +21,7 @@
 //! a correct process outside it never steps again), decorator
 //! stacking/unstacking, crash-plan edits, and whole-subtree replacement.
 
-use st_core::{ProcSet, ProcessId, Schedule, Universe};
+use st_core::{ProcSet, ProcessId, Schedule, Universe, PROCSET_CAPACITY};
 
 use crate::crashes::CrashPlan;
 use crate::spec::GeneratorSpec;
@@ -78,7 +78,17 @@ pub struct SpecMutator {
 
 impl SpecMutator {
     /// A mutator over `universe`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `universe` has more than [`PROCSET_CAPACITY`] processes:
+    /// the mutator draws member sets as [`ProcSet`]s.
     pub fn new(universe: Universe) -> Self {
+        assert!(
+            universe.n() <= PROCSET_CAPACITY,
+            "SpecMutator supports at most PROCSET_CAPACITY = {PROCSET_CAPACITY} processes, got {}",
+            universe.n()
+        );
         SpecMutator { universe }
     }
 
@@ -91,7 +101,12 @@ impl SpecMutator {
     }
 
     fn nonempty_subset(&self, rng: &mut SpecRng) -> ProcSet {
-        let bits = rng.below(1 << self.n());
+        // A full-width universe draws the whole word; `1 << 64` overflows.
+        let bits = if self.n() == PROCSET_CAPACITY {
+            rng.next_u64()
+        } else {
+            rng.below(1 << self.n())
+        };
         if bits == 0 {
             ProcSet::singleton(self.pid(rng))
         } else {
@@ -670,6 +685,33 @@ mod tests {
         };
         assert_eq!(chain(99), chain(99));
         assert_ne!(chain(99), chain(100));
+    }
+
+    /// A full-width universe mutates without overflowing the subset draw,
+    /// and its random subsets are genuine multi-member sets.
+    #[test]
+    fn full_width_universe_mutates() {
+        let m = SpecMutator::new(u(PROCSET_CAPACITY));
+        let mut rng = SpecRng::new(64);
+        let sizes: Vec<usize> = (0..100)
+            .map(|_| m.nonempty_subset(&mut rng).len())
+            .collect();
+        assert!(sizes.iter().all(|&len| len >= 1));
+        assert!(
+            sizes.iter().filter(|&&len| len > 1).count() > 90,
+            "{sizes:?}"
+        );
+        let mut spec = GeneratorSpec::round_robin();
+        for _ in 0..200 {
+            spec = m.mutate(&spec, &mut rng);
+            spec.build(u(PROCSET_CAPACITY), 3).take_schedule(64);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "PROCSET_CAPACITY = 64")]
+    fn universe_beyond_procset_capacity_is_refused() {
+        let _ = SpecMutator::new(u(PROCSET_CAPACITY + 1));
     }
 
     /// Decorator stacking is capped, and unstack inverts stack.

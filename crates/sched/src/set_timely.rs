@@ -12,7 +12,7 @@
 
 use st_core::{ProcSet, ProcessId, StepSource, TimelyPair};
 
-use crate::crashes::CrashPlan;
+use crate::crashes::{CrashPlan, CrashTable};
 
 /// Enforces `P` timely wrt `Q` (with an explicit bound) over a filler source.
 ///
@@ -32,6 +32,8 @@ use crate::crashes::CrashPlan;
 /// ```
 pub struct SetTimely<S> {
     p: ProcSet,
+    /// `p`'s members in ascending order, the injection rotation.
+    members: Vec<ProcessId>,
     q: ProcSet,
     bound: usize,
     filler: S,
@@ -42,7 +44,7 @@ pub struct SetTimely<S> {
     /// A filler step held back while an injection happens.
     pending: Option<ProcessId>,
     /// Crash plan consulted when choosing an injectable P member.
-    plan: CrashPlan,
+    crashes: CrashTable,
     /// Global emitted-step counter (for crash-plan queries).
     emitted: u64,
 }
@@ -65,13 +67,14 @@ impl<S: StepSource> SetTimely<S> {
         );
         SetTimely {
             p,
+            members: p.to_vec(),
             q,
             bound,
             filler,
             q_run: 0,
             next_inject: 0,
             pending: None,
-            plan: CrashPlan::new(),
+            crashes: CrashTable::default(),
             emitted: 0,
         }
     }
@@ -82,7 +85,7 @@ impl<S: StepSource> SetTimely<S> {
     /// member is crashed (the caller has then left `S^{|P|}_{|Q|,n}`
     /// deliberately).
     pub fn with_crashes(mut self, plan: CrashPlan) -> Self {
-        self.plan = plan;
+        self.crashes = CrashTable::new(&plan);
         self
     }
 
@@ -95,12 +98,16 @@ impl<S: StepSource> SetTimely<S> {
         }
     }
 
+    /// The next live member of `P` in rotation order, advancing the
+    /// rotation past it.
     fn live_injectable(&mut self) -> Option<ProcessId> {
-        let members: Vec<ProcessId> = self.p.to_vec();
-        for offset in 0..members.len() {
-            let candidate = members[(self.next_inject + offset) % members.len()];
-            if !self.plan.is_crashed(candidate, self.emitted) {
-                self.next_inject = (self.next_inject + offset + 1) % members.len();
+        let len = self.members.len();
+        let mut at = self.next_inject;
+        for _ in 0..len {
+            let candidate = self.members[at];
+            at = if at + 1 == len { 0 } else { at + 1 };
+            if !self.crashes.is_crashed(candidate, self.emitted) {
+                self.next_inject = at;
                 return Some(candidate);
             }
         }
@@ -115,26 +122,27 @@ impl<S: StepSource> StepSource for SetTimely<S> {
             None => self.filler.next_step()?,
         };
 
-        let emit = if self.p.contains(step) {
-            self.q_run = 0;
-            step
-        } else if self.q.contains(step) {
-            if self.q_run + 1 >= self.bound {
-                // Letting this Q-step through would complete a run of
-                // `bound` Q-steps with no P-step: inject P first.
-                match self.live_injectable() {
-                    Some(injected) => {
-                        self.pending = Some(step);
-                        self.q_run = 0;
-                        injected
-                    }
-                    None => step, // all of P crashed: guarantee void
+        // Membership is computed without branching on it: with a random
+        // filler both tests are coin flips the predictor cannot learn.
+        let in_p = self.p.contains(step);
+        let in_q_only = !in_p & self.q.contains(step);
+        let emit = if in_q_only && self.q_run + 1 >= self.bound {
+            // Letting this Q-step through would complete a run of `bound`
+            // Q-steps with no P-step: inject P first.
+            match self.live_injectable() {
+                Some(injected) => {
+                    self.pending = Some(step);
+                    self.q_run = 0;
+                    injected
                 }
-            } else {
-                self.q_run += 1;
-                step
+                None => step, // all of P crashed: guarantee void
             }
         } else {
+            self.q_run = if in_p {
+                0
+            } else {
+                self.q_run + usize::from(in_q_only)
+            };
             step
         };
         self.emitted += 1;

@@ -93,6 +93,7 @@ mod automaton;
 mod ctx;
 pub mod error;
 pub mod memory;
+mod name;
 pub mod register;
 mod runner;
 pub mod soa;
@@ -102,6 +103,7 @@ pub use automaton::{Automaton, Status, StepAccess};
 pub use ctx::ProcessCtx;
 pub use error::SimError;
 pub use memory::{Memory, RegisterStats};
+pub use name::{NameRender, RegName};
 pub use register::{Reg, RegValue, WriteDiscipline};
 pub use runner::{
     sharded_replay_order, RunConfig, RunReport, RunStatus, Sim, StepOutcome, StopWhen,

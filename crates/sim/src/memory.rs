@@ -35,6 +35,7 @@ use std::any::{Any, TypeId};
 use st_core::ProcessId;
 
 use crate::error::SimError;
+use crate::name::RegName;
 use crate::register::{Reg, RegValue, WriteDiscipline};
 
 /// Storage class of a register: words live inline in the hot cell,
@@ -66,8 +67,9 @@ pub struct Memory {
     writes: Vec<u64>,
     /// Write discipline per register (checked on writes only).
     disciplines: Vec<WriteDiscipline>,
-    /// Allocation names (cold: error messages and stats).
-    names: Vec<String>,
+    /// Allocation names (cold: error messages and stats), rendered only
+    /// when read.
+    names: Vec<RegName>,
     /// Side table for non-word values.
     boxed: Vec<Box<dyn Any>>,
 }
@@ -75,8 +77,8 @@ pub struct Memory {
 /// Per-register access statistics, reported after a run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RegisterStats {
-    /// Name given at allocation.
-    pub name: String,
+    /// Name given at allocation (renders with `Display`).
+    pub name: RegName,
     /// Completed writes.
     pub writes: u64,
     /// Completed reads.
@@ -120,12 +122,23 @@ impl Memory {
         self.kinds.is_empty()
     }
 
+    /// Reserves room for `additional` more registers in every per-register
+    /// array, so a batch allocation grows each array once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.kinds.reserve(additional);
+        self.payloads.reserve(additional);
+        self.reads.reserve(additional);
+        self.writes.reserve(additional);
+        self.disciplines.reserve(additional);
+        self.names.reserve(additional);
+    }
+
     /// Allocates a register with the given write discipline and initial
     /// value, returning its typed handle. `u64` values take the word fast
     /// path (see the module docs).
     pub fn alloc<T: RegValue>(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<RegName>,
         discipline: WriteDiscipline,
         init: T,
     ) -> Reg<T> {
@@ -149,7 +162,7 @@ impl Memory {
     fn type_mismatch(&self, index: usize) -> SimError {
         SimError::TypeMismatch {
             register: index,
-            name: self.names[index].clone(),
+            name: self.names[index].to_string(),
         }
     }
 
@@ -158,7 +171,7 @@ impl Memory {
             if owner != writer {
                 return Err(SimError::WriteDisciplineViolation {
                     register: index,
-                    name: self.names[index].clone(),
+                    name: self.names[index].to_string(),
                     owner,
                     writer,
                 });
@@ -331,7 +344,7 @@ impl Memory {
         match self.disciplines[index] {
             WriteDiscipline::SingleWriter(owner) => SimError::WriteDisciplineViolation {
                 register: index,
-                name: self.names[index].clone(),
+                name: self.names[index].to_string(),
                 owner,
                 writer,
             },
@@ -361,17 +374,16 @@ impl Memory {
         }
     }
 
-    /// Name of a register.
+    /// Name of a register, rendered.
     ///
     /// # Errors
     ///
     /// [`SimError::UnknownRegister`] for a foreign handle.
-    pub fn name(&self, index: usize) -> Result<&str, SimError> {
-        if index < self.names.len() {
-            Ok(&self.names[index])
-        } else {
-            Err(SimError::UnknownRegister { register: index })
-        }
+    pub fn name(&self, index: usize) -> Result<String, SimError> {
+        self.names
+            .get(index)
+            .map(RegName::to_string)
+            .ok_or(SimError::UnknownRegister { register: index })
     }
 
     /// Access statistics for all registers, in allocation order.
@@ -486,6 +498,31 @@ mod tests {
         // Failed write must not change the value or counts.
         assert_eq!(m.peek(r).unwrap(), 1);
         assert_eq!(m.stats()[0].writes, 1);
+    }
+
+    #[test]
+    fn errors_and_stats_render_structured_names() {
+        let mut m = Memory::new();
+        let render: crate::NameRender =
+            |f, [rank, q, _]| write!(f, "Counter[{{p0,p1}}#{rank},p{q}]");
+        let owner = WriteDiscipline::SingleWriter(p(2));
+        let r = m.alloc(RegName::custom(render, [0, 2, 0]), owner, 0u64);
+        let full = "Counter[{p0,p1}#0,p2]";
+        match m.write_word(p(0), r, 1) {
+            Err(SimError::WriteDisciplineViolation { name, .. }) => assert_eq!(name, full),
+            other => panic!("expected a discipline violation, got {other:?}"),
+        }
+        let wrong: Reg<String> = Reg::new(r.index);
+        match m.read(wrong) {
+            Err(SimError::TypeMismatch { name, .. }) => assert_eq!(name, full),
+            other => panic!("expected a type mismatch, got {other:?}"),
+        }
+        assert_eq!(m.name(0).unwrap(), full);
+        assert_eq!(m.stats()[0].name, full);
+        assert!(matches!(
+            m.name(1),
+            Err(SimError::UnknownRegister { register: 1 })
+        ));
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::automaton::{Automaton, Status, StepAccess};
 use crate::ctx::{ProcessCtx, SimShared};
 use crate::error::SimError;
 use crate::memory::{Memory, RegisterStats};
+use crate::name::RegName;
 use crate::register::{Reg, RegValue, WriteDiscipline};
 use crate::soa::{BatchAccess, PhaseBatch};
 use crate::trace::{executed_schedule, Decision, ProbeLog, TraceInner};
@@ -261,7 +262,7 @@ impl Sim {
     }
 
     /// Allocates a multi-writer register.
-    pub fn alloc<T: RegValue>(&mut self, name: impl Into<String>, init: T) -> Reg<T> {
+    pub fn alloc<T: RegValue>(&mut self, name: impl Into<RegName>, init: T) -> Reg<T> {
         self.shared
             .memory
             .borrow_mut()
@@ -271,7 +272,7 @@ impl Sim {
     /// Allocates a single-writer register owned by `owner`.
     pub fn alloc_sw<T: RegValue>(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<RegName>,
         owner: ProcessId,
         init: T,
     ) -> Reg<T> {
@@ -281,19 +282,38 @@ impl Sim {
             .alloc(name, WriteDiscipline::SingleWriter(owner), init)
     }
 
+    /// Reserves room for `additional` more registers, so a protocol that
+    /// allocates a large batch (a counter matrix) grows the arena once.
+    pub fn reserve_registers(&mut self, additional: usize) {
+        self.shared.memory.borrow_mut().reserve(additional);
+    }
+
     /// Allocates `count` multi-writer registers named `name[0..count]`.
-    pub fn alloc_array<T: RegValue>(&mut self, name: &str, count: usize, init: T) -> Vec<Reg<T>> {
+    pub fn alloc_array<T: RegValue>(
+        &mut self,
+        name: impl Into<RegName>,
+        count: usize,
+        init: T,
+    ) -> Vec<Reg<T>> {
+        let name = name.into();
+        self.reserve_registers(count);
         (0..count)
-            .map(|i| self.alloc(format!("{name}[{i}]"), init.clone()))
+            .map(|i| self.alloc(name.index(i), init.clone()))
             .collect()
     }
 
     /// Allocates one single-writer register per process, `name[p]` owned by
     /// `p` — the layout of `Heartbeat[p]` in Figure 2.
-    pub fn alloc_per_process<T: RegValue>(&mut self, name: &str, init: T) -> Vec<Reg<T>> {
+    pub fn alloc_per_process<T: RegValue>(
+        &mut self,
+        name: impl Into<RegName>,
+        init: T,
+    ) -> Vec<Reg<T>> {
+        let name = name.into();
+        self.reserve_registers(self.universe.n());
         self.universe
             .processes()
-            .map(|p| self.alloc_sw(format!("{name}[{}]", p.index()), p, init.clone()))
+            .map(|p| self.alloc_sw(name.index(p.index()), p, init.clone()))
             .collect()
     }
 
